@@ -196,15 +196,13 @@ int Main(int argc, char** argv) {
       "    \"group_commit_mean_batch\": %.3f,\n"
       "    \"lock_waits\": %llu,\n"
       "    \"txn_commits\": %llu,\n"
-      "    \"trace_events_recorded\": %llu,\n"
       "    \"registry\": ",
       hit_rate,
       static_cast<unsigned long long>(FindSample(snap, "buffer.evictions").value),
       static_cast<unsigned long long>(FindSample(snap, "buffer.write_backs").value),
       writes_per_transition, mean_batch,
       static_cast<unsigned long long>(FindSample(snap, "lock.waits").value),
-      static_cast<unsigned long long>(FindSample(snap, "txn.commits").value),
-      static_cast<unsigned long long>(reg.trace().TotalRecorded()));
+      static_cast<unsigned long long>(FindSample(snap, "txn.commits").value));
   out += mbuf;
   out += Indent(reg.DumpJson(), "    ");
   out += "\n  }\n}\n";

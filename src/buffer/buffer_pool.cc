@@ -201,7 +201,8 @@ Result<size_t> BufferPool::EvictOne() {
       f.valid = false;
     }
     evictions_->Add();
-    metrics_->trace().Record(TraceEvent::kPageEvict, f.tag.rel, f.tag.block);
+    span.set_a(f.tag.rel);
+    span.set_b(f.tag.block);
     return i;
   }
   return Status::ResourceExhausted("all buffers pinned");
@@ -240,6 +241,8 @@ Status BufferPool::WriteFrame(size_t frame) {
     // — the frame stays dirty and a later flush writes the settled page.
     Frame& g = frames_[gi];
     if (g.dirty.exchange(false, std::memory_order_acq_rel)) {
+      ScopedSpan sibling_span(&metrics_->spans(), "buffer.write_back",
+                              g.tag.rel, g.tag.block);
       Page gpage(g.data.get());
       if (gpage.IsInitialized()) {
         gpage.UpdateChecksum();
@@ -251,7 +254,6 @@ Status BufferPool::WriteFrame(size_t frame) {
         return ws;
       }
       write_backs_->Add();
-      metrics_->trace().Record(TraceEvent::kPageWriteBack, g.tag.rel, g.tag.block);
     }
   }
   // Same claim-before-read protocol for the frame itself.
@@ -267,7 +269,6 @@ Status BufferPool::WriteFrame(size_t frame) {
       return ws;
     }
     write_backs_->Add();
-    metrics_->trace().Record(TraceEvent::kPageWriteBack, f.tag.rel, f.tag.block);
   }
   // Recompute pending extensions for this relation.
   INV_ASSIGN_OR_RETURN(uint32_t new_dev_size, mgr->NumBlocks(f.tag.rel));
@@ -298,10 +299,9 @@ Result<PageRef> BufferPool::Pin(Oid rel, uint32_t block) {
       return PageRef(this, it->second, f.data.get(), LocalPinCounter());
     }
   }
-  // Misses leave the hot path, so the trace record's cost is invisible. The
-  // span covers the whole miss: io_mu_ queueing, eviction, and the read.
+  // Misses leave the hot path, so the span's cost is invisible. It covers
+  // the whole miss: io_mu_ queueing, eviction, and the read.
   misses_->Add();
-  metrics_->trace().Record(TraceEvent::kPageMiss, rel, block);
   ScopedSpan span(&metrics_->spans(), "buffer.miss", rel, block);
   MutexLock lock(io_mu_);
   {

@@ -8,7 +8,7 @@ namespace invfs {
 Database::Database(StorageEnv* env, DatabaseOptions options)
     : options_(options),
       clock_(&env->clock),
-      metrics_(options_.trace_ring_capacity, options_.span_ring_capacity) {
+      metrics_(options_.span_ring_capacity) {
   metrics_.ConfigureTimeseries(options_.timeseries_interval_micros,
                                options_.timeseries_capacity);
   // Every device goes through the switch stacked as

@@ -64,10 +64,9 @@ struct DatabaseOptions {
   // Policy(Instrumented(Fault(real))), so retries are visible to the
   // instrumentation). Caller-owned; must outlive the Database.
   FaultInjector* fault_injector = nullptr;
-  // Capacities of the per-registry event and span rings (rounded up to a
-  // power of two). Sizing is a retention/memory tradeoff only; recording
-  // cost is capacity-independent.
-  size_t trace_ring_capacity = TraceRing::kDefaultCapacity;
+  // Capacity of the per-registry span ring (rounded up to a power of two).
+  // Sizing is a retention/memory tradeoff only; recording cost is
+  // capacity-independent.
   size_t span_ring_capacity = SpanRing::kDefaultCapacity;
   // Declared latency objectives, evaluated against the op.latency_us
   // histograms (invfs_stats --slo, the invfs_slo relation).
@@ -147,8 +146,8 @@ class Database {
   DeviceSwitch& devices() { return devices_; }
   LockManager& locks() { return locks_; }
   SimClock& clock() { return *clock_; }
-  // Every component's counters/histograms/trace for this database. Queryable
-  // through the `invfs_stats` / `invfs_trace` virtual relations.
+  // Every component's counters/histograms/spans for this database. Queryable
+  // through the `invfs_stats` / `invfs_spans` virtual relations.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
   const DatabaseOptions& options() const { return options_; }

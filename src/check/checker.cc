@@ -725,8 +725,10 @@ Result<CheckReport> Checker::Run() {
   }
 
   // --- every cataloged relation -------------------------------------------
-  std::vector<HeapTuple> fileatt_rows;
-  std::optional<Schema> fileatt_schema;
+  // Any version of a fileatt row (current, superseded, uncommitted, or moved
+  // to the archive by vacuum) keeps a chunk table referenced: time travel
+  // still reads an unlinked file's chunks through its archived rows.
+  std::set<Oid> known_files;
   std::vector<std::pair<RelInfo, Oid>> chunk_tables;  // (rel, file oid)
   for (const auto& [oid, info] : rels) {
     BlockStore* store = StoreFor(info.device);
@@ -775,10 +777,17 @@ Result<CheckReport> Checker::Run() {
       std::vector<HeapTuple> tuples;
       WalkHeap(store, oid, schema, &tuples);
       ++report_.relations_checked;
-      if (info.name == "fileatt") {
-        CheckCurrentUnique(oid, tuples, {0});  // file
-        fileatt_schema = schema;
-        fileatt_rows = std::move(tuples);
+      if (info.name == "fileatt" || info.name == "a,fileatt") {
+        if (info.name == "fileatt") {
+          CheckCurrentUnique(oid, tuples, {0});  // file
+        }
+        if (auto file_col = schema.ColumnIndex("file"); file_col.ok()) {
+          for (const HeapTuple& t : tuples) {
+            if (!t.row[*file_col].is_null()) {
+              known_files.insert(t.row[*file_col].AsOid());
+            }
+          }
+        }
         continue;
       }
       if (info.name == "naming") {
@@ -834,20 +843,8 @@ Result<CheckReport> Checker::Run() {
   }
 
   // --- orphan chunk tables -------------------------------------------------
-  // Any version of a fileatt row (current, superseded, or uncommitted) keeps
-  // a chunk table referenced; a chunk table no version ever named is an
+  // A chunk table no live or archived fileatt version ever named is an
   // orphan.
-  std::set<Oid> known_files;
-  if (fileatt_schema) {
-    auto file_col = fileatt_schema->ColumnIndex("file");
-    if (file_col.ok()) {
-      for (const HeapTuple& t : fileatt_rows) {
-        if (!t.row[*file_col].is_null()) {
-          known_files.insert(t.row[*file_col].AsOid());
-        }
-      }
-    }
-  }
   for (const auto& [info, file] : chunk_tables) {
     if (known_files.find(file) == known_files.end()) {
       Add("orphan-chunk-table", info.oid, ~0u,

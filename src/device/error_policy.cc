@@ -34,11 +34,12 @@ template <typename Op>
   ScopedSpan span(&metrics_->spans(), "device.retry");
   Status s = std::move(first);
   SimMicros backoff = policy_.backoff_us;
+  SimMicros total_backoff = 0;
   for (int attempt = 0; attempt < policy_.max_retries && s.IsTransientIo();
        ++attempt) {
     clock_->Advance(backoff);
-    metrics_->trace().Record(TraceEvent::kDeviceRetry,
-                             static_cast<uint64_t>(attempt + 1), backoff);
+    total_backoff += backoff;
+    span.set_b(total_backoff);
     backoff = std::min(backoff * 2, policy_.max_backoff_us);
     retries_->Add();
     s = op();
@@ -55,8 +56,10 @@ Status ErrorPolicyDevice::ReadOnlyError() const {
 Status ErrorPolicyDevice::TripReadOnly(const Status& cause) {
   if (!read_only_.exchange(true, std::memory_order_acq_rel)) {
     permanent_errors_->Add();
-    metrics_->trace().Record(TraceEvent::kDeviceReadOnlyTrip,
-                             static_cast<uint64_t>(cause.code()));
+    {  // zero-duration span: a point event on the span stream
+      ScopedSpan trip(&metrics_->spans(), "device.read_only_trip",
+                      static_cast<uint64_t>(cause.code()));
+    }
   }
   return Status::ReadOnlyDevice("device '" + std::string(name()) +
                                 "' tripped read-only: " + cause.ToString());

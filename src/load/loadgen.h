@@ -159,7 +159,6 @@ struct LoadGenReport {
   // saturation signal.
   uint64_t end_lag_us = 0;
   uint64_t span_drops = 0;   // SpanRing overwrites during the run
-  uint64_t trace_drops = 0;
   uint64_t samples = 0;      // timeseries samples captured
   // RPC transport only (all zero in-process).
   uint64_t rpc_exchanges = 0;   // round trips on the wire
@@ -226,7 +225,6 @@ class LoadGen {
   bool setup_done_ = false;
   bool stalled_ = false;
   uint64_t spans_before_ = 0;    // drop counters at Setup (delta = this run)
-  uint64_t traces_before_ = 0;
   uint64_t samples_before_ = 0;
   // RPC transport stack (kRpc only): one server + one priced, optionally
   // faulty wire shared by the whole fleet, one stub per client.

@@ -3,7 +3,6 @@
 //
 //   invfs_stats                  text table of every metric
 //   invfs_stats --json           JSON snapshot (same shape bench_pr4 embeds)
-//   invfs_stats --trace          recent trace-ring events (newest last)
 //   invfs_stats --spans          recent span records (newest last)
 //   invfs_stats --slowest N      top-N slowest request trees, children indented
 //   invfs_stats --breakdown OP   latency attribution for every span named OP:
@@ -23,8 +22,8 @@
 // The world is simulated and self-contained, so the tool doubles as a live
 // demo of the observability layer: every number it prints was produced by
 // the workload it just ran, and --query goes through the real POSTQUEL
-// executor against the invfs_stats / invfs_trace / invfs_spans / invfs_slo
-// virtual relations.
+// executor against the invfs_stats / invfs_spans / invfs_slo /
+// invfs_timeseries virtual relations.
 
 #include <algorithm>
 #include <cstdio>
@@ -274,7 +273,7 @@ int DumpSlo(Database* db) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: invfs_stats [--json] [--trace | --spans | --slowest N |"
+               "usage: invfs_stats [--json] [--spans | --slowest N |"
                " --breakdown <op> | --slo | --timeseries |"
                " --query <postquel>]\n");
   return 2;
@@ -282,7 +281,6 @@ int Usage() {
 
 int Run(int argc, char** argv) {
   bool json = false;
-  bool trace = false;
   bool spans = false;
   bool slo = false;
   bool timeseries = false;
@@ -292,8 +290,6 @@ int Run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      trace = true;
     } else if (std::strcmp(argv[i], "--spans") == 0) {
       spans = true;
     } else if (std::strcmp(argv[i], "--slo") == 0) {
@@ -333,18 +329,6 @@ int Run(int argc, char** argv) {
       return 1;
     }
     std::fputs(rs->ToString().c_str(), stdout);
-    return 0;
-  }
-  if (trace) {
-    for (const TraceRecord& r : world.db().metrics().trace().Snapshot()) {
-      std::printf("%8llu  %10llu us  t%-3llu  %-14s  a=%llu b=%llu c=%llu\n",
-                  static_cast<unsigned long long>(r.seq),
-                  static_cast<unsigned long long>(r.micros),
-                  static_cast<unsigned long long>(r.thread),
-                  TraceEventName(r.event), static_cast<unsigned long long>(r.a),
-                  static_cast<unsigned long long>(r.b),
-                  static_cast<unsigned long long>(r.c));
-    }
     return 0;
   }
   if (spans) {

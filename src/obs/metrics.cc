@@ -206,8 +206,8 @@ std::string MetricsRegistry::DumpJson() const {
   return out;
 }
 
-MetricsRegistry::MetricsRegistry(size_t trace_capacity, size_t span_capacity)
-    : trace_(trace_capacity), spans_(span_capacity) {}
+MetricsRegistry::MetricsRegistry(size_t span_capacity)
+    : spans_(span_capacity) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
 

@@ -13,8 +13,8 @@
 //      an increment is a plain relaxed load+store — no locked RMW, no shared
 //      cache line; reads sum the cells. No mutex anywhere near an increment.
 //   2. Instrumentation must be compilable out: -DINVFS_NO_METRICS turns every
-//      Add/Set/Observe/Record into a no-op (the registry and its readers stay
-//      so tooling keeps linking). scripts/check.sh's `metrics` leg measures
+//      Add/Set/Observe and every ScopedSpan into a no-op (the registry and its
+//      readers stay so tooling keeps linking). scripts/check.sh's `metrics` leg measures
 //      the difference on the buffer-hit path and gates it at ~5%.
 //   3. Registration is the cold path: GetCounter/GetGauge/GetHistogram take a
 //      mutex and return a stable pointer the component caches at construction.
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/util/mutex.h"
 
 namespace invfs {
@@ -205,8 +204,7 @@ struct MetricSample {
 class MetricsRegistry {
  public:
   // Ctor and dtor out of line: timeseries_ points at an incomplete type here.
-  explicit MetricsRegistry(size_t trace_capacity = TraceRing::kDefaultCapacity,
-                           size_t span_capacity = SpanRing::kDefaultCapacity);
+  explicit MetricsRegistry(size_t span_capacity = SpanRing::kDefaultCapacity);
   ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -220,9 +218,6 @@ class MetricsRegistry {
       EXCLUDES(mu_);
   Histogram* GetHistogram(std::string_view name, std::string_view label = "")
       EXCLUDES(mu_);
-
-  TraceRing& trace() { return trace_; }
-  const TraceRing& trace() const { return trace_; }
 
   SpanRing& spans() { return spans_; }
   const SpanRing& spans() const { return spans_; }
@@ -254,7 +249,6 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mu_);
   std::map<Key, std::unique_ptr<Histogram>> histograms_ GUARDED_BY(mu_);
   std::unique_ptr<TimeSeriesSampler> timeseries_ GUARDED_BY(mu_);
-  TraceRing trace_;
   SpanRing spans_;
 };
 

@@ -9,10 +9,12 @@ namespace invfs {
 
 namespace {
 
-// Fraction of `buckets` observations strictly above `target` (whole buckets
-// only: the bucket straddling the target is counted as within it, the same
-// conservative rounding direction Percentile uses), scaled by the error
-// budget. A distribution exactly at its cap burns ~1.0.
+// Fraction of `buckets` observations above `target`, scaled by the error
+// budget. A bucket counts as above when its inclusive upper bound exceeds the
+// target — the same rounding the verdict applies through PercentileOf, which
+// reports the upper bound of the bucket holding the p99 rank. So the bucket
+// straddling the target counts as above, and the p99 clause of the verdict
+// is violated exactly when burn > 1.0.
 double BurnRate(const std::array<uint64_t, Histogram::kBuckets>& buckets,
                 uint64_t count, uint64_t target_p99) {
   if (count == 0 || target_p99 == 0) {
@@ -20,9 +22,7 @@ double BurnRate(const std::array<uint64_t, Histogram::kBuckets>& buckets,
   }
   uint64_t above = 0;
   for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-    // Bucket i spans up to BucketUpper(i); its observations all exceed the
-    // target iff the *previous* bucket's upper bound does.
-    if (i > 0 && Histogram::BucketUpper(i - 1) >= target_p99) {
+    if (Histogram::BucketUpper(i) > target_p99) {
       above += buckets[i];
     }
   }

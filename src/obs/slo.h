@@ -21,8 +21,10 @@
 // class a budget of kSloErrorBudget (1%) of requests above the p99 target,
 // and burn is the observed above-target fraction divided by that budget —
 // burn 1.0 spends the budget exactly, 30.0 is a page, 0.0 is untouched. Burn
-// moves earlier and more smoothly than the p99-vs-cap verdict flip, which is
-// why on-call dashboards watch it instead of raw percentiles.
+// and the verdict share one rounding rule (an observation is above target
+// when its bucket's upper bound exceeds the cap), so the p99 clause is
+// violated exactly when burn > 1.0; below that, burn still shows how much of
+// the budget is spent, which is why on-call dashboards watch it.
 
 #pragma once
 

@@ -1,6 +1,7 @@
 #include "src/obs/span.h"
 
 #include <algorithm>
+#include <chrono>
 #include <set>
 #include <string>
 
@@ -25,6 +26,14 @@ const char* InternSpanName(std::string_view name) {
 
 namespace obs_internal {
 
+constinit thread_local uint64_t t_thread_tag = 0;
+
+uint64_t AssignThreadTag() {
+  static std::atomic<uint64_t> next_tag{0};
+  t_thread_tag = next_tag.fetch_add(1, std::memory_order_relaxed) + 1;
+  return t_thread_tag;
+}
+
 constinit thread_local uint64_t t_trace_id = 0;
 constinit thread_local uint64_t t_span_id = 0;
 constinit thread_local const char* t_tenant = nullptr;
@@ -40,6 +49,14 @@ uint64_t NextSpanId() {
 }
 
 }  // namespace obs_internal
+
+uint64_t TraceNowMicros() {
+  using Clock = std::chrono::steady_clock;
+  static const Clock::time_point start = Clock::now();
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start)
+          .count());
+}
 
 namespace {
 size_t RoundUpPow2(size_t n) {
@@ -62,8 +79,8 @@ void SpanRing::RecordSpan(const SpanRecord& r) {
   }
   const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& s = slots_[seq & mask_];
-  // Same seqlock protocol as TraceRing::Record: invalidate, payload with
-  // relaxed stores, publish seq last.
+  // Invalidate first: a reader that copies a payload mixing the old and the
+  // new span will see seq change (to 0 or to `seq`) on its re-check.
   if (s.seq.load(std::memory_order_relaxed) != 0) {
     CountDrop();  // a published span is about to be overwritten unread
   }
@@ -116,8 +133,10 @@ void SpanRing::CountDrop() {
   dropped_.fetch_add(1, std::memory_order_relaxed);
   Counter* c = drop_counter_.load(std::memory_order_acquire);
   if (c == nullptr) {
-    // Resolved on first drop, never at construction (see TraceRing::CountDrop
-    // for the Default()-recursion hazard). Racing resolvers are benign.
+    // First drop of this ring: resolve the shared default-registry counter.
+    // Racing resolvers get the same pointer back (find-or-create), and this
+    // can never run during MetricsRegistry::Default()'s own construction —
+    // no span is recorded into a ring before its registry finishes building.
     c = MetricsRegistry::Default().GetCounter("span.dropped");
     drop_counter_.store(c, std::memory_order_release);
   }

@@ -12,11 +12,23 @@
 // buffer-miss, device-I/O and group-commit-wait spans that explain where its
 // wall time went (`invfs_stats --breakdown`, the `invfs_spans` relation).
 //
-// Cost model mirrors TraceRing: recording is allocation-free and lock-free
-// (seqlock per slot, all fields atomic), so spans are safe on every cold
-// path. The buffer-pool *hit* path deliberately carries no span — at
-// millions of hits per second it would be all the ring ever holds, and the
-// <5% overhead gate in scripts/check.sh exists to keep it that way. Under
+// The span ring is the engine's one event stream: point events (a device
+// tripping read-only, the commit log poisoning) are zero-duration spans, so
+// "what just happened" is one relation, `invfs_spans`.
+//
+// Recording is allocation-free and lock-free, so spans are safe on every
+// cold path. Concurrency protocol (seqlock per slot, all fields atomic so the
+// race is benign under TSan as well as in fact):
+//   writer: claim a global sequence number, zero the slot's seq (invalidate),
+//           store the payload with relaxed stores, publish seq last (release);
+//   reader: load seq (acquire), copy the payload, re-load seq — accept the
+//           copy only if seq was nonzero and unchanged.
+// A reader can lose a span to an overwrite (the ring is lossy by design) but
+// can never observe a half-written one.
+//
+// The buffer-pool *hit* path deliberately carries no span — at millions of
+// hits per second it would be all the ring ever holds, and the <5% overhead
+// gate in scripts/check.sh exists to keep it that way. Under
 // -DINVFS_NO_METRICS every ScopedSpan compiles to nothing.
 //
 // Lint contract (span-raii): SpanRing::RecordSpan and the thread-local
@@ -32,9 +44,9 @@
 #include <string_view>
 #include <vector>
 
-#include "src/obs/trace.h"
-
 namespace invfs {
+
+class Counter;
 
 #ifdef INVFS_NO_METRICS
 inline constexpr bool kSpansEnabled = false;
@@ -46,6 +58,24 @@ inline constexpr bool kSpansEnabled = true;
 // Span names are expected to come from a small fixed vocabulary; interning
 // takes a mutex, so callers on repeated paths intern once and cache.
 const char* InternSpanName(std::string_view name);
+
+namespace obs_internal {
+// 0 = not yet assigned. constinit keeps the access wrapper-free: a dynamic
+// initializer would make every read go through the TLS init guard, which is
+// an out-of-line call on the buffer-pool hit path (measured ~10% there).
+extern constinit thread_local uint64_t t_thread_tag;
+uint64_t AssignThreadTag();
+}  // namespace obs_internal
+
+// Small dense id for the calling thread (1, 2, 3, ... in first-use order).
+// Also used by the metrics stripes and the logging layer's line tags.
+inline uint64_t ThreadTag() {
+  const uint64_t tag = obs_internal::t_thread_tag;
+  return tag != 0 ? tag : obs_internal::AssignThreadTag();
+}
+
+// Monotonic wall-clock microseconds since the first call in the process.
+uint64_t TraceNowMicros();
 
 struct SpanRecord {
   uint64_t seq = 0;           // ring sequence, 1-based, monotonic
@@ -75,9 +105,9 @@ uint64_t NextTraceId();
 uint64_t NextSpanId();
 }  // namespace obs_internal
 
-// Lossy bounded ring of finished spans; same seqlock-per-slot protocol as
-// TraceRing. Capacity is fixed at construction (rounded up to a power of
-// two) and configurable per Database via DatabaseOptions.
+// Lossy bounded ring of finished spans. Capacity is fixed at construction
+// (rounded up to a power of two) and configurable per Database via
+// DatabaseOptions::span_ring_capacity.
 class SpanRing {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
@@ -127,8 +157,9 @@ class SpanRing {
   std::unique_ptr<Slot[]> slots_;
   std::atomic<uint64_t> next_{0};
   std::atomic<uint64_t> dropped_{0};
-  // Lazily resolved `span.dropped` cell of the default registry (see
-  // TraceRing::drop_counter_ for why this cannot be done at construction).
+  // Cached `span.dropped` cell of the default registry. Resolved lazily on
+  // the first drop — never in the constructor, which would recurse while the
+  // default registry (whose own ring this may be) is still being built.
   std::atomic<Counter*> drop_counter_{nullptr};
 };
 

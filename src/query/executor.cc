@@ -37,7 +37,7 @@ struct BoundRange {
   TableInfo* table = nullptr;
   Snapshot snap;
   Row current;
-  // Virtual relations (invfs_stats / invfs_trace): rows materialized from an
+  // Virtual relations (invfs_stats, invfs_spans, ...): rows materialized from an
   // observability snapshot at bind time; no heap, no lock, no index.
   bool is_virtual = false;
   std::vector<Row> vrows;

@@ -2,12 +2,12 @@
 //
 // The paper's thesis — put the file system in the database and every piece of
 // metadata becomes queryable — applies to the engine's own internals too.
-// `invfs_stats` exposes the metrics registry and `invfs_trace` the recent-
-// event ring as ordinary POSTQUEL range variables:
+// `invfs_stats` exposes the metrics registry and `invfs_spans` the recent-
+// span ring as ordinary POSTQUEL range variables:
 //
 //   retrieve (s.name, s.value) from s in invfs_stats
 //       where s.name = "buffer.hits"
-//   retrieve (t.event, t.a) from t in invfs_trace where t.event = "page.miss"
+//   retrieve (sp.a, sp.b) from sp in invfs_spans where sp.name = "buffer.miss"
 //
 // Rows are materialized at range-binding time from a registry snapshot, so a
 // query sees one consistent point-in-time image and holds no lock anywhere
@@ -25,8 +25,7 @@
 namespace invfs {
 
 // True for names the executor must bind to a virtual relation
-// ("invfs_stats", "invfs_trace", "invfs_spans", "invfs_slo",
-// "invfs_timeseries") instead of the catalog.
+// ("invfs_stats", "invfs_spans", "invfs_slo", "invfs_timeseries") instead of the catalog.
 bool IsVirtualTable(std::string_view name);
 
 // Schema-only TableInfo for a virtual relation (static storage; heap is

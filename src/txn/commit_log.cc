@@ -200,8 +200,6 @@ Status CommitLog::WaitPersisted(uint64_t seq) {
             std::chrono::steady_clock::now() - flush_start)
             .count()));
     batch_transitions_->Observe(batch_size);
-    metrics_->trace().Record(TraceEvent::kGroupCommitFlush, batch_size,
-                             blocks.size(), s.ok() ? 1 : 0);
     flush_span.reset();
     mu_.lock();
     persist_batches_->Add();
@@ -213,8 +211,10 @@ Status CommitLog::WaitPersisted(uint64_t seq) {
       persisted_seq_ = std::max(persisted_seq_, covers);
     } else if (sticky_error_.ok()) {
       sticky_error_ = s;
-      metrics_->trace().Record(TraceEvent::kLogPoisoned,
-                               static_cast<uint64_t>(s.code()));
+      {  // zero-duration span: a point event on the span stream
+        ScopedSpan poisoned(&metrics_->spans(), "log.poisoned",
+                            static_cast<uint64_t>(s.code()));
+      }
     }
     flush_in_progress_ = false;
     flush_cv_.NotifyAll();

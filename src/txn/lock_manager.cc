@@ -192,8 +192,6 @@ Status LockManager::Acquire(TxnId txn, Oid rel, LockMode mode) {
       waited = true;
       wait_start = std::chrono::steady_clock::now();
       waits_->Add();
-      metrics_->trace().Record(TraceEvent::kLockWait, txn, rel,
-                               mode == LockMode::kExclusive ? 1 : 0);
       wait_span.emplace(&metrics_->spans(), "lock.wait", txn, rel);
     }
     waiting_on_[txn] = rel;

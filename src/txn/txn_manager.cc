@@ -37,7 +37,6 @@ Result<TxnId> TxnManager::Begin(TxnMode mode) {
     }
     span.set_a(xid);
     ro_begins_->Add();
-    metrics_->trace().Record(TraceEvent::kTxnBegin, xid);
     return xid;
   }
   TxnId xid;
@@ -60,7 +59,6 @@ Result<TxnId> TxnManager::Begin(TxnMode mode) {
     active_[xid] = ActiveTxn{{}, std::move(pinned), false};
   }
   begins_->Add();
-  metrics_->trace().Record(TraceEvent::kTxnBegin, xid);
   return xid;
 }
 
@@ -76,6 +74,7 @@ Status TxnManager::Commit(TxnId txn) {
     touched = it->second.touched;
     active_.erase(it);
   }
+  span.set_b(touched.size());
   if (IsReadOnlyTxn(txn)) {
     // Nothing to decide: the xid stamped no tuples and has no log entry.
     // No ReleaseAll either — a read-only transaction never acquires locks
@@ -87,7 +86,6 @@ Status TxnManager::Commit(TxnId txn) {
                               " relations");
     }
     commits_->Add();
-    metrics_->trace().Record(TraceEvent::kTxnCommit, txn, 0);
     return Status::Ok();
   }
   if (touched.empty()) {
@@ -106,7 +104,6 @@ Status TxnManager::Commit(TxnId txn) {
   }
   locks_->ReleaseAll(txn);
   commits_->Add();
-  metrics_->trace().Record(TraceEvent::kTxnCommit, txn, touched.size());
   return Status::Ok();
 }
 
@@ -122,7 +119,6 @@ Status TxnManager::Abort(TxnId txn) {
   }
   if (IsReadOnlyTxn(txn)) {
     aborts_->Add();
-    metrics_->trace().Record(TraceEvent::kTxnAbort, txn);
     return Status::Ok();
   }
   // Nothing to undo: tuples stamped with this xid are invisible to every
@@ -130,7 +126,6 @@ Status TxnManager::Abort(TxnId txn) {
   INV_RETURN_IF_ERROR(log_->AbortTxn(txn));
   locks_->ReleaseAll(txn);
   aborts_->Add();
-  metrics_->trace().Record(TraceEvent::kTxnAbort, txn);
   return Status::Ok();
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <thread>
 
 #include "src/buffer/buffer_pool.h"
@@ -98,6 +99,47 @@ TEST_F(BufferPoolTest, SharedRegistryExposesBufferCounters) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(reg.GetCounter("buffer.hits")->Value(), pool.hits());
   EXPECT_GE(pool.hits(), 1u);
+}
+
+TEST_F(BufferPoolTest, EvictAndWriteBackSpansNameTheirPages) {
+  // Two frames; block 0 stays pinned, so extending a third block evicts
+  // block 1. Writing block 1 first forces pending block 0 out, and each page
+  // written gets its own buffer.write_back span, the sibling's nested inside.
+  CreateRel(1);
+  MetricsRegistry reg;
+  BufferPool pool(&sw_, 2, &clock_, CpuParams{}, /*partitions=*/0, &reg);
+  uint32_t b0 = 0, b1 = 0, b2 = 0;
+  auto r0 = pool.Extend(1, &b0);
+  ASSERT_TRUE(r0.ok());
+  r0->MarkDirty();
+  {
+    auto r1 = pool.Extend(1, &b1);
+    ASSERT_TRUE(r1.ok());
+    r1->MarkDirty();
+  }
+  auto r2 = pool.Extend(1, &b2);
+  ASSERT_TRUE(r2.ok());
+  ASSERT_EQ(pool.evictions(), 1u);
+
+  const SpanRecord* evict = nullptr;
+  const SpanRecord* own = nullptr;
+  const SpanRecord* sibling = nullptr;
+  const auto snap = reg.spans().Snapshot();
+  for (const SpanRecord& r : snap) {
+    const std::string_view name(r.name);
+    if (name == "buffer.evict" && r.a == 1) {
+      evict = &r;
+    } else if (name == "buffer.write_back" && r.a == 1) {
+      (r.b == b1 ? own : sibling) = &r;
+    }
+  }
+  ASSERT_NE(evict, nullptr);
+  EXPECT_EQ(evict->b, b1);
+  ASSERT_NE(own, nullptr);
+  ASSERT_NE(sibling, nullptr);
+  EXPECT_EQ(sibling->b, b0);
+  EXPECT_EQ(sibling->parent_id, own->span_id);
+  EXPECT_EQ(own->parent_id, evict->span_id);
 }
 
 TEST_F(BufferPoolTest, PinnedPagesCannotBeEvicted) {

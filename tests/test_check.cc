@@ -14,6 +14,7 @@
 #include "src/inversion/inv_fs.h"
 #include "src/storage/page.h"
 #include "src/util/bytes.h"
+#include "src/vacuum/vacuum.h"
 
 namespace invfs {
 namespace {
@@ -242,6 +243,24 @@ TEST_F(CheckTest, OrphanChunkTableDetected) {
 
   const CheckReport report = Check();
   EXPECT_TRUE(report.Has("orphan-chunk-table")) << report.ToString();
+}
+
+TEST_F(CheckTest, VacuumedUnlinkLeavesCleanImage) {
+  // Vacuum moves an unlinked file's fileatt rows into the archive relation
+  // "a,fileatt"; time travel still reads the file's chunk table through
+  // them, so that chunk table is referenced, not orphaned.
+  MakeFile("/doomed.txt", std::string(3000, 'd'));
+  ASSERT_TRUE(s_->unlink("/doomed.txt").ok());
+  VacuumCleaner vacuum(db_.get());
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  auto stats = vacuum.VacuumAll(*txn);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->archived, 0u);
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+
+  const CheckReport report = Check();
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 TEST_F(CheckTest, MissingRelationDetected) {

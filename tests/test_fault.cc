@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/catalog/database.h"
@@ -153,6 +154,17 @@ TEST_F(FaultDeviceTest, BitFlipPersistsExactlyOneFlippedBit) {
 
 // ---- ErrorPolicyDevice ------------------------------------------------------
 
+std::vector<SpanRecord> SpansNamed(const MetricsRegistry& metrics,
+                                   std::string_view name) {
+  std::vector<SpanRecord> out;
+  for (const SpanRecord& r : metrics.spans().Snapshot()) {
+    if (r.name != nullptr && name == r.name) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
 class ErrorPolicyTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -215,6 +227,17 @@ TEST_F(ErrorPolicyTest, PermanentWriteTripsStickyReadOnlyButReadsKeepFlowing) {
   std::vector<std::byte> out(kPageSize);
   ASSERT_TRUE(dev_->ReadBlock(kRel, 0, out).ok());
   EXPECT_EQ(static_cast<char>(out[0]), 'K');
+}
+
+TEST_F(ErrorPolicyTest, RetrySpanCarriesAttemptsAndTotalBackoff) {
+  injector_.Arm({{FaultSpec::Kind::kTransientError, FaultSpec::Op::kWrite, 1},
+                 {FaultSpec::Kind::kTransientError, FaultSpec::Op::kWrite, 2}});
+  ASSERT_TRUE(dev_->WriteBlock(kRel, 0, FilledPage('B')).ok());
+  const std::vector<SpanRecord> retries = SpansNamed(metrics_, "device.retry");
+  ASSERT_EQ(retries.size(), 1u);
+  const DeviceErrorPolicy policy;
+  EXPECT_EQ(retries[0].a, 2u);  // attempts
+  EXPECT_EQ(retries[0].b, policy.backoff_us + 2 * policy.backoff_us);
 }
 
 // ---- full stack: commit log, fail-stop, RPC / NFS surfacing -----------------
@@ -333,6 +356,27 @@ TEST_F(FaultStackTest, PermanentCommitLogFailureIsFailStopReadOnly) {
   Status creat = gateway.Creat("/nfs.dat").status();
   ASSERT_FALSE(creat.ok());
   EXPECT_EQ(NfsErrnoFor(creat), EROFS);
+}
+
+// The two fail-stop transitions are point events on the span stream: a
+// zero-duration span each, carrying the error code in `a`. A permanent
+// commit-log write error trips the log's device read-only (cause kIoError),
+// and the log poisons on the read-only refusal that surfaces.
+TEST_F(FaultStackTest, FailStopTransitionsRecordEventSpans) {
+  MakeFile("/e.dat", "payload");
+  StageTxnWithFlushedData("/e.dat");
+  injector_.ArmOne({FaultSpec::Kind::kPermanentError, FaultSpec::Op::kWrite, 1});
+  ASSERT_FALSE(s_->p_commit().ok());
+  ASSERT_TRUE(db_->commit_log().poisoned());
+
+  const std::vector<SpanRecord> trips =
+      SpansNamed(db_->metrics(), "device.read_only_trip");
+  ASSERT_EQ(trips.size(), 1u);
+  EXPECT_EQ(trips[0].a, static_cast<uint64_t>(ErrorCode::kIoError));
+  const std::vector<SpanRecord> poisoned =
+      SpansNamed(db_->metrics(), "log.poisoned");
+  ASSERT_EQ(poisoned.size(), 1u);
+  EXPECT_EQ(poisoned[0].a, static_cast<uint64_t>(ErrorCode::kReadOnlyDevice));
 }
 
 // Tentpole degradation, data-device flavor: a permanent write error trips the

@@ -361,7 +361,7 @@ TEST_F(MtStressTest, ConcurrentTransactionsThroughDatabase) {
 }
 
 // 8 threads hammer one registry — striped counters, a shared histogram, and
-// the trace ring — while a snapshotter concurrently reads everything. Totals
+// the span ring — while a snapshotter concurrently reads everything. Totals
 // must be exact (no lost updates) and every concurrent snapshot internally
 // consistent. This is the TSan target for the observability layer.
 TEST(MetricsStressTest, ConcurrentIncrementAndSnapshot) {
@@ -377,12 +377,14 @@ TEST(MetricsStressTest, ConcurrentIncrementAndSnapshot) {
     const uint64_t expected =
         static_cast<uint64_t>(kThreads) * kItersPerThread;
     while (!stop.load(std::memory_order_acquire)) {
-      // Mid-run reads must never see torn or overshooting values, and trace
+      // Mid-run reads must never see torn or overshooting values, and span
       // snapshots must be well-formed mid-write (seqlock re-check).
       EXPECT_LE(counter->Value(), expected);
       EXPECT_LE(hist->Count(), expected);
-      for (const TraceRecord& r : reg.trace().Snapshot()) {
-        EXPECT_EQ(r.event, TraceEvent::kLockWait);
+      for (const SpanRecord& r : reg.spans().Snapshot()) {
+        ASSERT_NE(r.name, nullptr);
+        EXPECT_EQ(std::string_view(r.name), "stress.span");
+        EXPECT_LT(r.a, static_cast<uint64_t>(kThreads));
       }
       (void)reg.DumpText();
     }
@@ -395,7 +397,7 @@ TEST(MetricsStressTest, ConcurrentIncrementAndSnapshot) {
         counter->Add();
         hist->Observe(static_cast<uint64_t>(i));
         if (i % 16 == 0) {
-          reg.trace().Record(TraceEvent::kLockWait, t, i);
+          ScopedSpan span(&reg.spans(), "stress.span", t, i);
         }
       }
     });
@@ -409,10 +411,10 @@ TEST(MetricsStressTest, ConcurrentIncrementAndSnapshot) {
   const uint64_t expected = static_cast<uint64_t>(kThreads) * kItersPerThread;
   EXPECT_EQ(counter->Value(), expected);
   EXPECT_EQ(hist->Count(), expected);
-  EXPECT_EQ(reg.trace().TotalRecorded(),
+  EXPECT_EQ(reg.spans().TotalRecorded(),
             static_cast<uint64_t>(kThreads) * (kItersPerThread / 16));
-  auto snap = reg.trace().Snapshot();
-  EXPECT_EQ(snap.size(), TraceRing::kDefaultCapacity);
+  auto snap = reg.spans().Snapshot();
+  EXPECT_EQ(snap.size(), SpanRing::kDefaultCapacity);
 }
 
 // 8 threads run nested ScopedSpans (each thread its own trace) while a reader

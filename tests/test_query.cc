@@ -415,16 +415,21 @@ TEST_F(ExecutorTest, InvfsStatsExposesStorageCounters) {
             static_cast<int64_t>(db_->buffers().hits()));
 }
 
-TEST_F(ExecutorTest, InvfsTraceShowsRecentTransactions) {
-  // Every Exec() in the fixture began and committed a transaction; the trace
-  // ring must hold matching begin/commit events.
+TEST_F(ExecutorTest, InvfsSpansShowRecentTransactions) {
+  // Every Exec() in the fixture began and committed a transaction; the span
+  // ring must hold matching begin/commit spans.
   auto rs = Exec(
-      "retrieve (t.event, t.a) from t in invfs_trace "
-      "where t.event = \"txn.commit\"");
+      "retrieve (sp.a, sp.b) from sp in invfs_spans "
+      "where sp.name = \"txn.commit\"");
   EXPECT_GE(rs.rows.size(), 4u);  // 4 fixture statements at minimum
-  // Joinable against stats like any relation: count via projection size.
+  // b counts the relations a commit forced out; the appends each touched emp.
+  size_t writers = 0;
+  for (const Row& row : rs.rows) {
+    writers += row[1].AsInt8() > 0 ? 1 : 0;
+  }
+  EXPECT_GE(writers, 3u);
   auto begins = Exec(
-      "retrieve (t.seq) from t in invfs_trace where t.event = \"txn.begin\"");
+      "retrieve (sp.a) from sp in invfs_spans where sp.name = \"txn.begin\"");
   EXPECT_GE(begins.rows.size(), rs.rows.size());
 }
 
@@ -452,15 +457,22 @@ TEST_F(ExecutorTest, InvfsSpansShowsQueryExecutionSpans) {
   }
 }
 
-TEST_F(ExecutorTest, InvfsSpansJoinsWithInvfsTraceOnXid) {
-  // txn.begin is recorded twice — a span (a = xid) and a trace event
-  // (a = xid) — so the two observability relations join on that attribute
-  // like any ordinary pair of tables.
+TEST_F(ExecutorTest, InvfsSpansSelfJoinsChildToParent) {
+  // A virtual relation joins with itself like any ordinary table: pairing
+  // each span with its parent recovers the request tree. The fixture's
+  // appends commit under the force policy, so every such txn.commit span
+  // parents the write-backs of the pages it forced out.
   auto rs = Exec(
-      "retrieve (sp.span, t.seq) from sp in invfs_spans, t in invfs_trace "
-      "where sp.name = \"txn.begin\" and t.event = \"txn.begin\" "
-      "and sp.a = t.a");
-  EXPECT_GE(rs.rows.size(), 4u);  // at least the fixture's transactions
+      "retrieve (c.name, c.trace, p.trace) from c in invfs_spans, "
+      "p in invfs_spans where c.parent = p.span "
+      "and p.name = \"txn.commit\"");
+  ASSERT_GE(rs.rows.size(), 3u);  // at least the fixture's three appends
+  bool saw_write_back = false;
+  for (const Row& row : rs.rows) {
+    EXPECT_EQ(row[1].AsInt8(), row[2].AsInt8());  // a child shares its trace
+    saw_write_back |= row[0].AsText() == "buffer.write_back";
+  }
+  EXPECT_TRUE(saw_write_back);
 }
 
 TEST_F(ExecutorTest, InvfsSloReportsEveryDeclaredTarget) {
