@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -86,22 +85,6 @@ inline MtScanResult RunMtScan(int nthreads, size_t partitions,
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.mpins_per_s = r.seconds > 0 ? r.total_pins / r.seconds / 1e6 : 0;
   return r;
-}
-
-// The speedup field for one mt_scan row, as a JSON value. On a host with
-// fewer than two cores, threads time-slice on the one core: lock contention
-// cannot reduce wall-clock throughput, the sharded/global ratio is ~1.0x
-// measurement noise, and gating on it would be meaningless — so the field is
-// the string "skipped" instead of a number (host_cores in the header says
-// why). Text-mode benches print the same marker.
-inline std::string SpeedupJsonField(double base_mpins, double sharded_mpins) {
-  if (std::thread::hardware_concurrency() < 2) {
-    return "\"skipped\"";
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                base_mpins > 0 ? sharded_mpins / base_mpins : 0.0);
-  return buf;
 }
 
 struct ReaderWriterResult {

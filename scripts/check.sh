@@ -163,11 +163,11 @@ run_metrics_overhead() {
 
 run_torture() {
   # Crash-recovery torture sweep under ASan: a fixed seed and scaled-up
-  # workload enumerate ~200 crash schedules (every crash-point occurrence in
-  # the budget plus a device-write sweep); each one snapshots the halted
-  # image, recovers it, runs the structural checker, and verifies the
-  # acked/unacked transaction oracle. Deterministic: a failure reproduces
-  # with the printed schedule name.
+  # plan enumerate 172 crash schedules (47 crash-point occurrences plus 125
+  # device-write halts); each one snapshots the halted image, recovers it,
+  # and runs the judge: the structural checker, no leaked locks or
+  # transactions, and the acked/landed file-state oracle. Deterministic: a
+  # failure reproduces with the printed schedule name.
   local dir="$ROOT/build-asan"
   echo "==> [torture] configure+build invfs_torture (INVFS_SANITIZE=address)"
   cmake -B "$dir" -S "$ROOT" \
@@ -175,7 +175,7 @@ run_torture() {
         -DINVFS_SANITIZE=address \
         -DINVFS_DEBUG_INVARIANTS=ON >/dev/null
   cmake --build "$dir" -j "$JOBS" --target invfs_torture -- --no-print-directory
-  echo "==> [torture] main sweep (seed 1337, ~170 schedules)"
+  echo "==> [torture] main sweep (seed 1337, 172 schedules)"
   env ASAN_OPTIONS=halt_on_error=1:detect_leaks=1 \
       "$dir/src/fault/invfs_torture" \
         --seed 1337 --txns 60 --files 16 --buffers 20 \
@@ -209,9 +209,10 @@ run_net() {
   #   1. invfs_torture --net-faults — the at-most-once sweep: every wire
   #      fault kind (request/response drop, duplicate delivery, response
   #      truncation, connection reset) crossed with occurrence positions over
-  #      a recorded RPC workload. Each schedule must leave acked ops applied
-  #      exactly once, failed ops invisible, and no orphaned locks or
-  #      transactions. Deterministic: a failure replays by its printed name.
+  #      a recorded RPC workload (70 schedules at seed 4242). Each schedule
+  #      must leave acked ops applied exactly once, failed ops invisible, no
+  #      orphaned locks or transactions, and a structurally sound image.
+  #      Deterministic: a failure replays by its printed name.
   #
   #   2. invfs_loadgen --transport rpc --net-drop 0.01 --check — the builtin
   #      four-tenant fleet on the priced wire with 1% frame loss. --check

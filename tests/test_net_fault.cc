@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/fault/faulty_transport.h"
-#include "src/fault/net_torture.h"
 #include "src/harness/worlds.h"
 #include "src/net/rpc.h"
 #include "src/util/random.h"
@@ -405,24 +404,6 @@ TEST(ClientTrustBoundaryTest, MalformedResponsesSurfaceStatusNeverCrashOrHang) {
     (void)c.p_lseek(3, 0, Whence::kSet);
   }
   SUCCEED() << "no crash, no hang, no overallocation";
-}
-
-// ---- the sweep itself as a tier-1 gate --------------------------------------
-
-TEST(NetTortureTest, QuickSweepHoldsTheAtMostOnceOracle) {
-  NetTortureOptions opt;
-  opt.seed = 0x7E57;
-  opt.operations = 14;
-  opt.max_files = 4;
-  opt.schedules_per_kind = 3;
-  auto report = RunNetTorture(opt);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  for (const std::string& f : report->failures) {
-    ADD_FAILURE() << f;
-  }
-  EXPECT_GT(report->recorded_exchanges, 0u);
-  EXPECT_GT(report->faults_fired, 0u);
-  EXPECT_TRUE(report->ok()) << report->Summary();
 }
 
 }  // namespace
