@@ -5,6 +5,9 @@
 
 #include "src/access/btree.h"
 #include "src/buffer/buffer_pool.h"
+#include "src/device/error_policy.h"
+#include "src/fault/crash_points.h"
+#include "src/fault/fault_device.h"
 #include "src/harness/worlds.h"
 #include "src/obs/span.h"
 #include "src/util/lzss.h"
@@ -124,6 +127,50 @@ void BM_ScopedSpan(benchmark::State& state) {
   state.counters["recorded"] = static_cast<double>(ring.TotalRecorded());
 }
 BENCHMARK(BM_ScopedSpan);
+
+// One 8 KB WriteBlock through the device stack with nothing armed: arg 0 is
+// the bare NVRAM device, 1 the same under the ErrorPolicyDevice every
+// Database stacks, 2 that policy over an unarmed FaultDevice (the stacking
+// when DatabaseOptions::fault_injector is set). The spread between the three
+// is what the always-on robustness decorators cost.
+void BM_DeviceWrite(benchmark::State& state) {
+  constexpr Oid kRel = 7000;
+  MemBlockStore store;
+  SimClock clock;
+  MetricsRegistry metrics;
+  FaultInjector injector;
+  std::unique_ptr<DeviceManager> dev = std::make_unique<NvramDevice>(&store);
+  if (state.range(0) == 2) {
+    dev = std::make_unique<FaultDevice>(std::move(dev), &injector);
+  }
+  if (state.range(0) >= 1) {
+    dev = std::make_unique<ErrorPolicyDevice>(std::move(dev), &clock,
+                                              DeviceErrorPolicy{}, &metrics);
+  }
+  constexpr const char* kStacks[] = {"bare", "policy", "policy+unarmed-fault"};
+  state.SetLabel(kStacks[state.range(0)]);
+  std::vector<std::byte> page(kPageSize, std::byte{0x5a});
+  if (!dev->CreateRelation(kRel).ok()) {
+    state.SkipWithError("create relation failed");
+    return;
+  }
+  for (auto s : state) {
+    Status st = dev->WriteBlock(kRel, 0, page);
+    benchmark::DoNotOptimize(st);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kPageSize);
+}
+BENCHMARK(BM_DeviceWrite)->Arg(0)->Arg(1)->Arg(2);
+
+// One unarmed CrashPointRegistry::Hit: the cost every instrumented point
+// pays outside a torture run.
+void BM_CrashPointHit(benchmark::State& state) {
+  for (auto s : state) {
+    CrashPointRegistry::Hit("bench.point");
+  }
+}
+BENCHMARK(BM_CrashPointHit);
 
 void BM_PostquelParseExecute(benchmark::State& state) {
   WorldOptions options;

@@ -3,12 +3,13 @@
 // PRESTOserve), and Inversion single process.
 //
 // Times are simulated seconds from the calibrated 1993 cost model; the paper
-// column is reproduced alongside for shape comparison. Run with no arguments.
+// column is reproduced alongside for shape comparison. After the table, the
+// same run is printed as the paper's Figures 3-6 (percent of NFS, the paper's
+// figure, and a shape check each). Run with no arguments.
 
-#include <cstdio>
+#include <span>
 
-#include "src/harness/paper_benchmark.h"
-#include "src/harness/worlds.h"
+#include "bench/bench_common.h"
 
 namespace invfs {
 namespace {
@@ -69,51 +70,125 @@ void PrintTable(const PaperBenchResult& cs, const PaperBenchResult& nfs,
               ratio(nfs.write_1mb_rand_pages_s, nfs.write_1mb_seq_pages_s));
 }
 
+// Figure 3: elapsed time to create a 25 MB file, Inversion vs ULTRIX NFS.
+//
+// Paper: Inversion (client/server) achieves about 36% of NFS throughput; the
+// cause is B-tree index maintenance — "Btree writes are interleaved with data
+// file writes, penalizing Inversion by forcing the disk head to move
+// frequently", while NFS "can postpone writing its index until all data
+// blocks have been written", staying sequential.
+void PrintFigure3(const AllResults& r) {
+  std::printf("== Figure 3: 25 MByte file creation time ==\n\n");
+  std::printf("paper:    Inversion(c/s) 141.5s   NFS 50.6s   (Inversion = 36%% of NFS"
+              " throughput)\n");
+  std::printf("measured:\n");
+  PrintBar("Inversion client/server", r.inv_cs.create_file_s, 2.5);
+  PrintBar("ULTRIX NFS + PRESTOserve", r.nfs.create_file_s, 2.5);
+  const double pct = 100.0 * r.nfs.create_file_s / r.inv_cs.create_file_s;
+  std::printf("\nmeasured Inversion throughput = %.0f%% of NFS (paper: 36%%)\n", pct);
+}
+
+// Figure 4: latency to read or write a single byte at a random location in
+// the 25 MB file, all caches flushed first.
+//
+// Paper: "For single-byte reads, Inversion gets 70 percent of the throughput
+// of NFS. Single-byte writes are slightly worse; Inversion is 61 percent of
+// NFS. Since Inversion never overwrites data in place, a new entry must be
+// written to the Btree block index, accounting for the difference."
+void PrintFigure4(const AllResults& r) {
+  std::printf("== Figure 4: random single-byte access latency ==\n\n");
+  std::printf("%-18s %14s %14s %14s\n", "", "Inversion c/s", "ULTRIX NFS",
+              "Inversion sp");
+  std::printf("%-18s %13.0fms %13.0fms %13.0fms\n", "read 1 byte",
+              r.inv_cs.read_single_byte_s * 1e3, r.nfs.read_single_byte_s * 1e3,
+              r.inv_sp.read_single_byte_s * 1e3);
+  std::printf("%-18s %13.0fms %13.0fms %13.0fms\n", "write 1 byte",
+              r.inv_cs.write_single_byte_s * 1e3, r.nfs.write_single_byte_s * 1e3,
+              r.inv_sp.write_single_byte_s * 1e3);
+  std::printf("\npaper ratios: read 70%%, write 61%% of NFS\n");
+  std::printf("measured: read %.0f%%, write %.0f%% of NFS\n",
+              100.0 * r.nfs.read_single_byte_s / r.inv_cs.read_single_byte_s,
+              100.0 * r.nfs.write_single_byte_s / r.inv_cs.write_single_byte_s);
+  std::printf("(writes are slower than reads in Inversion because the "
+              "no-overwrite manager adds a new index entry per write — check:"
+              " write/read latency ratio = %.2f, paper implies > 1)\n",
+              r.inv_cs.write_single_byte_s / r.inv_cs.read_single_byte_s);
+}
+
+struct PatternRow {
+  const char* name;
+  double PaperBenchResult::*m;
+  double paper_pct;
+};
+
+// The %-of-NFS table shared by Figures 5 and 6.
+void PrintPatternRows(const AllResults& r, std::span<const PatternRow> rows) {
+  std::printf("%-24s %14s %14s %18s %10s\n", "pattern", "Inversion c/s",
+              "ULTRIX NFS", "measured %of-NFS", "paper");
+  for (const PatternRow& row : rows) {
+    const double inv = r.inv_cs.*(row.m);
+    const double nfs = r.nfs.*(row.m);
+    std::printf("%-24s %13.2fs %13.2fs %17.0f%% %9.0f%%\n", row.name, inv, nfs,
+                100.0 * nfs / inv, row.paper_pct);
+  }
+}
+
+// Figure 5: 1 MB read throughput in three access patterns.
+//
+// Paper: single large transfer — Inversion 80% of NFS; page-sized sequential
+// — 47%; page-sized random — 43% ("the additional overhead incurred by
+// traversing the Btree page index in Inversion accounts for much of the
+// slowdown").
+void PrintFigure5(const AllResults& r) {
+  std::printf("== Figure 5: read throughput (1 MByte) ==\n\n");
+  const PatternRow rows[] = {
+      {"single 1MB read", &PaperBenchResult::read_1mb_single_s, 80},
+      {"sequential page-sized", &PaperBenchResult::read_1mb_seq_pages_s, 47},
+      {"random page-sized", &PaperBenchResult::read_1mb_rand_pages_s, 43},
+  };
+  PrintPatternRows(r, rows);
+  std::printf("\nshape check: Inversion degrades from single -> seq pages -> random"
+              " (B-tree traversal per page): %.2f <= %.2f <= %.2f\n",
+              r.inv_cs.read_1mb_single_s, r.inv_cs.read_1mb_seq_pages_s,
+              r.inv_cs.read_1mb_rand_pages_s);
+}
+
+// Figure 6: 1 MB write throughput in three access patterns.
+//
+// Paper: "the effect of the PRESTOserve board used by NFS is dramatic" —
+// Inversion gets 43% (single transfer), 31% (sequential pages), 28% (random
+// pages) of NFS, and "the NFS measurements show no degradation due to random
+// accesses, since the whole 1 MByte write fits in the PRESTOserve cache, and
+// is not flushed to disk."
+void PrintFigure6(const AllResults& r) {
+  std::printf("== Figure 6: write throughput (1 MByte) ==\n\n");
+  const PatternRow rows[] = {
+      {"single 1MB write", &PaperBenchResult::write_1mb_single_s, 43},
+      {"sequential page-sized", &PaperBenchResult::write_1mb_seq_pages_s, 31},
+      {"random page-sized", &PaperBenchResult::write_1mb_rand_pages_s, 28},
+  };
+  PrintPatternRows(r, rows);
+  std::printf("\nshape check 1: NFS shows NO random-write degradation "
+              "(random/seq = %.2f, paper 1.00)\n",
+              r.nfs.write_1mb_rand_pages_s / r.nfs.write_1mb_seq_pages_s);
+  std::printf("shape check 2: even single-process Inversion loses the random-write"
+              " test to PRESTOserve (%.2fs vs %.2fs, paper 2.9 vs 1.7)\n",
+              r.inv_sp.write_1mb_rand_pages_s, r.nfs.write_1mb_rand_pages_s);
+}
+
 int Main() {
-  WorldOptions options;
-
-  auto inv_world = InversionWorld::Create(options);
-  if (!inv_world.ok()) {
-    std::fprintf(stderr, "inversion world: %s\n", inv_world.status().ToString().c_str());
-    return 1;
-  }
-  auto nfs_world = NfsWorld::Create(options);
-  if (!nfs_world.ok()) {
-    std::fprintf(stderr, "nfs world: %s\n", nfs_world.status().ToString().c_str());
-    return 1;
-  }
-
-  PaperBenchParams params;
   std::printf("== Table 3: elapsed seconds, three configurations ==\n\n");
-
-  auto cs = RunPaperBenchmark((*inv_world)->remote_api(), (*inv_world)->clock(),
-                              params);
-  if (!cs.ok()) {
-    std::fprintf(stderr, "client/server bench: %s\n", cs.status().ToString().c_str());
+  auto results = RunAllConfigs();
+  if (!results.ok()) {
+    std::fprintf(stderr, "%s\n", results.status().ToString().c_str());
     return 1;
   }
-
-  PaperBenchParams nfs_params = params;
-  nfs_params.use_transactions = false;
-  auto nfs = RunPaperBenchmark((*nfs_world)->api(), (*nfs_world)->clock(), nfs_params);
-  if (!nfs.ok()) {
-    std::fprintf(stderr, "nfs bench: %s\n", nfs.status().ToString().c_str());
-    return 1;
+  PrintTable(results->inv_cs, results->nfs, results->inv_sp);
+  for (void (*figure)(const AllResults&) :
+       {PrintFigure3, PrintFigure4, PrintFigure5, PrintFigure6}) {
+    std::printf("\n");
+    figure(*results);
   }
-
-  // Fresh Inversion world so the single-process run starts cold like the rest.
-  auto sp_world = InversionWorld::Create(options);
-  if (!sp_world.ok()) {
-    std::fprintf(stderr, "inversion world: %s\n", sp_world.status().ToString().c_str());
-    return 1;
-  }
-  auto sp = RunPaperBenchmark((*sp_world)->local_api(), (*sp_world)->clock(), params);
-  if (!sp.ok()) {
-    std::fprintf(stderr, "single-process bench: %s\n", sp.status().ToString().c_str());
-    return 1;
-  }
-
-  PrintTable(*cs, *nfs, *sp);
   return 0;
 }
 

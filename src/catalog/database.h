@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "src/catalog/catalog.h"
-#include "src/device/error_policy.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/sim/cost_params.h"
@@ -39,26 +38,9 @@ struct StorageEnv {
 
 struct DatabaseOptions {
   size_t buffers = kDefaultBuffers;  // 64 as shipped; Berkeley ran 300
-  // Buffer-pool mapping shards. 0 = default (kDefaultPoolPartitions); 1
-  // degenerates to a single-lock pool (the POSTGRES 4.0.1 behavior, kept as
-  // the contention baseline for bench_mt_scan).
-  size_t buffer_partitions = 0;
   DiskParams disk{};
   JukeboxParams jukebox{};
   CpuParams cpu{};
-  uint32_t disk_extent_pages = 64;  // FFS-like clustering granularity
-  bool enable_nvram = true;
-  bool enable_jukebox = true;
-  // POSTGRES 4.0.1 forced modified index pages out eagerly; the paper blames
-  // exactly this for file-creation throughput ("Btree writes are interleaved
-  // with data file writes, penalizing Inversion by forcing the disk head to
-  // move frequently"). Disable to measure what lazy index write-back buys
-  // (ablation bench).
-  bool write_through_indexes = true;
-  // Transient-error retry and read-only degradation knobs, applied to every
-  // device (the policy decorator is always stacked; with no faults armed its
-  // cost is one relaxed load per I/O — bench_pr5 gates this).
-  DeviceErrorPolicy error_policy{};
   // Optional fault injection: when set, every device is additionally wrapped
   // in a FaultDevice sharing this injector (stacking:
   // Policy(Instrumented(Fault(real))), so retries are visible to the
@@ -71,12 +53,6 @@ struct DatabaseOptions {
   // Declared latency objectives, evaluated against the op.latency_us
   // histograms (invfs_stats --slo, the invfs_slo relation).
   std::vector<SloTarget> slo_targets = DefaultSloTargets();
-  // Time-series sampler knobs: minimum sim micros between samples, and how
-  // many points (one per metric per sample) the ring retains. Applied at
-  // Open; the sampler only runs when something calls
-  // metrics().timeseries().Tick() — it has no thread of its own.
-  uint64_t timeseries_interval_micros = 100'000;
-  size_t timeseries_capacity = 4096;
 };
 
 class Database {

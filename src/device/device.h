@@ -85,15 +85,19 @@ class NvramDevice final : public DeviceManager {
 
 class DiskModel;
 
+// FFS-like clustering granularity of the magnetic disk, in pages.
+inline constexpr uint32_t kDiskExtentPages = 64;
+
 // Magnetic disk: cost-modelled seeks/rotation/transfer over a physical block
-// address space. Relations are laid out in extents allocated from a global
-// cursor, which approximates FFS cylinder-group clustering: blocks within an
-// extent are contiguous; separate relations occupy separate regions, so
-// interleaved access across relations pays seeks (the Figure 3 effect).
+// address space. Relations are laid out in extents (kDiskExtentPages unless a
+// test asks for another size) allocated from a global cursor, which
+// approximates FFS cylinder-group clustering: blocks within an extent are
+// contiguous; separate relations occupy separate regions, so interleaved
+// access across relations pays seeks (the Figure 3 effect).
 class MagneticDiskDevice final : public DeviceManager {
  public:
   MagneticDiskDevice(BlockStore* store, SimClock* clock, DiskParams params,
-                     uint32_t extent_pages = 64);
+                     uint32_t extent_pages = kDiskExtentPages);
   ~MagneticDiskDevice() override;
 
   std::string_view name() const override { return "magnetic"; }

@@ -95,8 +95,8 @@ class FaultInjector {
   // Unarmed fast path: armed and crashed state share one atomic flags word,
   // so when nothing is scheduled the whole decision is a single acquire load
   // plus a lossy stat bump — neither mu_ nor a locked read-modify-write is
-  // touched on the production-shaped path (bench_pr5 gates the stack's
-  // unarmed overhead). kHalt subsumes the old separate crashed() pre-check
+  // touched on the production-shaped path (BM_DeviceWrite in
+  // bench/bench_micro.cc measures the stack's unarmed overhead). kHalt subsumes the old separate crashed() pre-check
   // in the block paths. No out-parameter: a kCorrupt verdict parks its spec
   // under mu_ for TakeCorruptSpec, keeping the fast path free of an escaped
   // stack local.

@@ -24,13 +24,6 @@ Schema FileattSchema() {
                 {"flags", TypeId::kInt4}};
 }
 
-Schema ChunkSchema() {
-  return Schema{{"chunkno", TypeId::kInt4},
-                {"data", TypeId::kBytea},
-                {"selfid", TypeId::kInt8},
-                {"rawlen", TypeId::kInt4}};
-}
-
 // Split "/a/b/c" into {"a","b","c"}. "" and "/" yield {}.
 Result<std::vector<std::string>> SplitPath(const std::string& path) {
   if (path.empty() || path[0] != '/') {
@@ -49,23 +42,6 @@ Result<std::vector<std::string>> SplitPath(const std::string& path) {
     i = j + 1;
   }
   return parts;
-}
-
-// Dirname/basename split.
-Result<std::pair<std::string, std::string>> SplitParent(const std::string& path) {
-  INV_ASSIGN_OR_RETURN(auto parts, SplitPath(path));
-  if (parts.empty()) {
-    return Status::InvalidArgument("path has no final component: '" + path + "'");
-  }
-  std::string base = parts.back();
-  std::string dir = "/";
-  for (size_t i = 0; i + 1 < parts.size(); ++i) {
-    dir += parts[i];
-    if (i + 2 < parts.size()) {
-      dir += '/';
-    }
-  }
-  return std::make_pair(dir, base);
 }
 
 }  // namespace

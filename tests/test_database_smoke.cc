@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <string_view>
+
 #include "src/catalog/database.h"
+#include "src/inversion/inv_fs.h"
 
 namespace invfs {
 namespace {
@@ -151,6 +157,81 @@ TEST(DatabaseSmoke, CrashRecoveryRollsBackInFlight) {
     EXPECT_FALSE(it.Next()) << "uncommitted tuple visible after crash";
     ASSERT_TRUE(db.Commit(*reader).ok());
   }
+}
+
+// What Database::Open reads from a crashed image of `files` committed 32 KB
+// files, taken from the device.read.* spans (rel in `a`, block in `b`).
+struct RecoveryReads {
+  std::set<uint64_t> log_blocks;  // commit-log blocks read
+  uint64_t chunk_reads = 0;       // blocks read of any file's chunk relation
+  uint64_t image_pages = 0;       // magnetic-disk pages in the image
+};
+
+void RecoverCrashedImage(int files, RecoveryReads* out) {
+  StorageEnv env;
+  std::set<Oid> chunk_rels;
+  {
+    auto db = Database::Open(&env);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    InversionFs fs(db->get());
+    ASSERT_TRUE(fs.Mount().ok());
+    const std::vector<Oid> mounted = env.disk_store->ListRelations();
+    auto session = fs.NewSession();
+    ASSERT_TRUE(session.ok());
+    const std::string data(32 * 1024, 'x');
+    for (int i = 0; i < files; ++i) {
+      ASSERT_TRUE((*session)->p_begin().ok());
+      auto fd = (*session)->p_creat("/f" + std::to_string(i));
+      ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+      ASSERT_TRUE((*session)
+                      ->p_write(*fd, std::as_bytes(std::span(data.data(), data.size())))
+                      .ok());
+      ASSERT_TRUE((*session)->p_close(*fd).ok());
+      ASSERT_TRUE((*session)->p_commit().ok());
+    }
+    // The tables the file creations added are the files' chunk relations
+    // (their chunk-number B-trees are indexes, not tables).
+    for (Oid rel : env.disk_store->ListRelations()) {
+      if (std::find(mounted.begin(), mounted.end(), rel) == mounted.end() &&
+          (*db)->catalog().GetTableByOid(rel).ok()) {
+        chunk_rels.insert(rel);
+      }
+    }
+    ASSERT_EQ(chunk_rels.size(), static_cast<size_t>(files));
+    (*db)->Crash();
+  }
+  for (Oid rel : env.disk_store->ListRelations()) {
+    auto blocks = env.disk_store->NumBlocks(rel);
+    ASSERT_TRUE(blocks.ok());
+    out->image_pages += *blocks;
+  }
+  auto db = Database::Open(&env);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const SpanRing& spans = (*db)->metrics().spans();
+  ASSERT_EQ(spans.TotalDropped(), 0u);
+  for (const SpanRecord& span : spans.Snapshot()) {
+    if (std::string_view(span.name).starts_with("device.read.")) {
+      if (span.a == kCommitLogRelOid) {
+        out->log_blocks.insert(span.b);
+      }
+      out->chunk_reads += chunk_rels.count(static_cast<Oid>(span.a));
+    }
+  }
+}
+
+// "Instantaneous crash recovery": Open is reading the commit log, so what it
+// reads tracks the log, not the data. An image of 64 times the files costs
+// the same log blocks, and neither reads a block of any file's chunks.
+TEST(DatabaseSmoke, RecoveryReadsCommitLogNotData) {
+  RecoveryReads small;
+  RecoveryReads large;
+  ASSERT_NO_FATAL_FAILURE(RecoverCrashedImage(4, &small));
+  ASSERT_NO_FATAL_FAILURE(RecoverCrashedImage(256, &large));
+  EXPECT_GT(large.image_pages, 10 * small.image_pages);
+  EXPECT_FALSE(small.log_blocks.empty());
+  EXPECT_EQ(small.log_blocks, large.log_blocks);
+  EXPECT_EQ(small.chunk_reads, 0u);
+  EXPECT_EQ(large.chunk_reads, 0u);
 }
 
 TEST(DatabaseSmoke, IndexLookupFindsRows) {
